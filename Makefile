@@ -93,7 +93,7 @@ benchdiff:
 # End-to-end live-cluster numbers: a paced closed-loop run (with the
 # coordinated-omission-corrected histogram), an open-loop run, a chaos
 # run (randomized fault injection; see internal/chaos), and an
-# uncalibrated fast-mode run over the binary frame transport (the
+# uncalibrated fast-mode run with batched frame dispatch (the
 # req_s_per_core headline — the data plane itself is the bottleneck, not
 # emulated service times) against self-hosted loopback clusters, then
 # the full microbenchmark suite; all of it lands in one
@@ -111,7 +111,7 @@ loadbench:
 	$(GO) run ./cmd/loadgen -mode closed -concurrency 32 -n 20000 \
 		-nodes 3 -masters 1 -fast -batch 200us -out results/live_fast.json
 	$(GO) run ./cmd/loadgen -mode closed -concurrency 16 -n 4000 \
-		-nodes 132 -masters 4 -shards 4 -fast -frame -out results/live_sharded.json
+		-nodes 132 -masters 4 -shards 4 -fast -out results/live_sharded.json
 	$(GO) test -bench=. -benchmem -run '^$$' . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson -baseline bench/baseline.txt \
 			-live results/live_closed.json,results/live_open.json,results/live_chaos.json,results/live_fast.json,results/live_sharded.json > BENCH_results.json
@@ -126,7 +126,7 @@ loadbench:
 scalebench:
 	@mkdir -p results
 	$(GO) run ./cmd/loadgen -mode closed -concurrency 16 -n 20000 \
-		-nodes 3 -masters 1 -fast -frame -frame-client -listener-shards 2 \
+		-nodes 3 -masters 1 -fast -frame-client -listener-shards 2 \
 		-scaling-sweep 1,2,4 -out results/live_scaling.json
 	$(GO) test -bench=. -benchmem -run '^$$' . | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson -baseline bench/baseline.txt \

@@ -225,7 +225,6 @@ type liveSummary struct {
 	Mode          string  `json:"mode"`
 	Profile       string  `json:"profile"`
 	Fast          bool    `json:"fast"`
-	Frame         bool    `json:"frame"`
 	FrameClient   bool    `json:"frame_client"`
 	Shards        int     `json:"shards"`
 	Sent          int64   `json:"sent"`
@@ -335,9 +334,6 @@ func liveResults(paths []string) ([]Result, liveHeadline, error) {
 		if s.Cores > 0 {
 			r.Metrics["cores"] = float64(s.Cores)
 			r.Metrics["req_s_per_core"] = s.ReqSPerCore
-		}
-		if s.Frame {
-			r.Metrics["frame"] = 1
 		}
 		if s.Shards > 1 {
 			r.Metrics["shards"] = float64(s.Shards)

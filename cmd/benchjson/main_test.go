@@ -119,8 +119,13 @@ func TestLiveResults(t *testing.T) {
 	if fr.Name != "LiveCluster/closed/fast" {
 		t.Fatalf("fast run not named apart: %+v", fr)
 	}
-	if fr.Metrics["req_s_per_core"] != 23000 || fr.Metrics["cores"] != 1 || fr.Metrics["frame"] != 1 {
+	if fr.Metrics["req_s_per_core"] != 23000 || fr.Metrics["cores"] != 1 {
 		t.Fatalf("fast metrics mis-folded: %+v", fr.Metrics)
+	}
+	// Summaries from before frames became the only dispatch hop still
+	// carry "frame"; it no longer means anything and is not folded.
+	if _, ok := fr.Metrics["frame"]; ok {
+		t.Fatalf("obsolete frame flag folded as a metric: %+v", fr.Metrics)
 	}
 	if headline.perCore != 23000 {
 		t.Fatalf("req_s_per_core headline %v, want 23000", headline.perCore)

@@ -29,9 +29,9 @@
 // service demands are charged to virtual clocks instead of wall-clock
 // sleeps, so the run measures the data plane's own overhead — parse,
 // placement, dispatch, transport — rather than the emulated service
-// times. -frame switches master→slave dispatch to the persistent binary
-// frame transport (with HTTP fallback negotiation), and -batch adds a
-// coalescing window so concurrent requests for one slave share frames.
+// times. Masters dispatch to slaves over persistent binary frames;
+// -batch adds a coalescing window so concurrent requests for one slave
+// share frames.
 // The summary reports cores and req_s_per_core so fast-mode numbers are
 // comparable across machine sizes.
 //
@@ -115,7 +115,6 @@ type Summary struct {
 	Targets        []string `json:"targets"`
 	Requests       int      `json:"requests"`
 	Fast           bool     `json:"fast,omitempty"`
-	Frame          bool     `json:"frame,omitempty"`
 	FrameClient    bool     `json:"frame_client,omitempty"`
 	Shards         int      `json:"shards,omitempty"`
 	ListenerShards int      `json:"listener_shards,omitempty"`
@@ -203,9 +202,8 @@ func run(args []string, stdout io.Writer) error {
 	chaosLen := fs.Duration("chaos-len", 5*time.Second, "fault schedule length; all nodes are healthy again afterwards")
 	chaosKills := fs.Bool("chaos-kills-only", false, "restrict injected faults to node kills (no pauses, latency or slow-loris)")
 	fast := fs.Bool("fast", false, "run the self-hosted cluster uncalibrated: virtual-time demand accounting, no wall-clock sleeps")
-	frame := fs.Bool("frame", false, "dispatch master→slave over the persistent binary frame transport")
 	frameClient := fs.Bool("frame-client", false, "drive the masters over persistent 'Q' frames instead of HTTP GET /req (works with -targets too)")
-	batch := fs.Duration("batch", 0, "coalescing window for batched dispatch over frames (0: off; implies -frame)")
+	batch := fs.Duration("batch", 0, "coalescing window for batched master→slave dispatch (0: off)")
 	lshards := fs.Int("listener-shards", 0, "SO_REUSEPORT accept sockets per node in the self-hosted cluster (0/1: single listener)")
 	sweep := fs.String("scaling-sweep", "", "comma-separated core widths (e.g. 1,2,4): run the closed-loop benchmark at each GOMAXPROCS width and report the cores→req/s curve; self-hosted cluster only")
 	sweepClientCores := fs.Int("scaling-client-cores", 0, "with -scaling-sweep, reserve this many extra cores for the client on top of each cluster width (0: client shares the width)")
@@ -240,8 +238,8 @@ func run(args []string, stdout io.Writer) error {
 	if *chaosOn && *targets != "" {
 		return fmt.Errorf("-chaos needs the self-hosted cluster (drop -targets): faults are injected via proxies in front of its slaves")
 	}
-	if *targets != "" && (*fast || *frame || *batch > 0 || *shards > 1 || *lshards > 1) {
-		return fmt.Errorf("-fast/-frame/-batch/-shards/-listener-shards configure the self-hosted cluster (drop -targets)")
+	if *targets != "" && (*fast || *batch > 0 || *shards > 1 || *lshards > 1) {
+		return fmt.Errorf("-fast/-batch/-shards/-listener-shards configure the self-hosted cluster (drop -targets)")
 	}
 	if *mode == "open" && *rps <= 0 {
 		return fmt.Errorf("-mode open requires -rps > 0")
@@ -294,7 +292,7 @@ func run(args []string, stdout io.Writer) error {
 			tr: tr, prof: prof,
 			rps: *rps, concurrency: *concurrency,
 			nodes: *nodes, masters: *masters, timescale: *timescale,
-			fast: *fast, frame: *frame || *batch > 0, frameClient: *frameClient,
+			fast: *fast, frameClient: *frameClient,
 			batch: *batch, lshards: *lshards,
 			shards: *shards, shardMap: *shardMap, gossip: *gossip,
 			build: build, discipline: pf.Scheduling,
@@ -322,7 +320,7 @@ func run(args []string, stdout io.Writer) error {
 			names: names, tr: tr, prof: prof,
 			mode: *mode, rps: *rps, concurrency: *concurrency, workers: *workers,
 			nodes: *nodes, masters: *masters, timescale: *timescale,
-			fast: *fast, frame: *frame || *batch > 0, batch: *batch,
+			fast: *fast, batch: *batch,
 			lshards: *lshards,
 			shards:  *shards, shardMap: *shardMap, gossip: *gossip,
 			discipline: pf.Scheduling, timeout: *timeout, out: *out,
@@ -345,7 +343,6 @@ func run(args []string, stdout io.Writer) error {
 			},
 			Discipline:     pf.Scheduling,
 			Uncalibrated:   *fast,
-			BinaryFraming:  *frame || *batch > 0,
 			BatchWindow:    *batch,
 			ListenerShards: *lshards,
 			Shards:         *shards,
@@ -402,7 +399,6 @@ func run(args []string, stdout io.Writer) error {
 		Targets:        targetURLs,
 		Requests:       *n,
 		Fast:           *fast,
-		Frame:          *frame || *batch > 0,
 		FrameClient:    *frameClient,
 		Shards:         *shards,
 		ListenerShards: *lshards,
@@ -587,7 +583,6 @@ type tournamentRun struct {
 	masters     int
 	timescale   float64
 	fast        bool
-	frame       bool
 	batch       time.Duration
 	lshards     int
 	shards      int
@@ -613,7 +608,6 @@ func runTournament(tc tournamentRun, stdout io.Writer) error {
 		Profile:      tc.prof.Name,
 		Requests:     len(tc.tr.Requests),
 		Fast:         tc.fast,
-		Frame:        tc.frame,
 		BatchWindowS: tc.batch.Seconds(),
 		TargetRPS:    tc.rps,
 		Cores:        runtime.GOMAXPROCS(0),
@@ -635,7 +629,6 @@ func runTournament(tc tournamentRun, stdout io.Writer) error {
 			},
 			Discipline:     tc.discipline,
 			Uncalibrated:   tc.fast,
-			BinaryFraming:  tc.frame,
 			BatchWindow:    tc.batch,
 			ListenerShards: tc.lshards,
 			Shards:         tc.shards,

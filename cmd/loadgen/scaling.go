@@ -48,7 +48,6 @@ type scalingRun struct {
 	masters     int
 	timescale   float64
 	fast        bool
-	frame       bool
 	frameClient bool
 	batch       time.Duration
 	lshards     int
@@ -103,7 +102,6 @@ func runScalingSweep(sc scalingRun, stdout io.Writer) error {
 		Profile:        sc.prof.Name,
 		Requests:       len(sc.tr.Requests),
 		Fast:           sc.fast,
-		Frame:          sc.frame,
 		FrameClient:    sc.frameClient,
 		Shards:         sc.shards,
 		ListenerShards: sc.lshards,
@@ -173,7 +171,6 @@ func runScalingPoint(sc *scalingRun, pt *ScalingPoint) error {
 		},
 		Discipline:     sc.discipline,
 		Uncalibrated:   sc.fast,
-		BinaryFraming:  sc.frame,
 		BatchWindow:    sc.batch,
 		ListenerShards: sc.lshards,
 		Shards:         sc.shards,

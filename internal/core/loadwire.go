@@ -8,15 +8,12 @@ import (
 // Compact load wire encoding. JSON round-tripping every rstat()-style
 // load poll costs an encoder allocation and reflection walk on the node
 // plus a decoder on the master, several times per second per node. The
-// v1 fast path is a fixed-field single line,
+// /load endpoint therefore serves one fixed-field line,
 //
 //	l1 <cpu_idle> <disk_avail> <cpu_queue> <disk_queue> <speed>\n
 //
 // appended and parsed with strconv only — no maps, no reflection, no
-// intermediate strings. JSON remains the fallback (and the default on
-// the /load endpoint), so old masters can poll new nodes and vice versa;
-// the master negotiates the fast path with the fmt=c query parameter and
-// detects it by content type or the "l1 " prefix.
+// intermediate strings.
 
 // LoadWireContentType is the MIME type of the compact encoding.
 const LoadWireContentType = "text/x-msweb-load"
@@ -41,8 +38,7 @@ func (l Load) AppendWire(b []byte) []byte {
 	return b
 }
 
-// IsLoadWire reports whether b starts a compact load line (the sniff the
-// master uses when a peer omits the content type).
+// IsLoadWire reports whether b starts a compact load line.
 func IsLoadWire(b []byte) bool {
 	return len(b) >= len(loadWirePrefix) && string(b[:len(loadWirePrefix)]) == loadWirePrefix
 }

@@ -31,8 +31,9 @@ func (d *nullRW) Write(p []byte) (int, error) {
 // Allocation pins for the serving hot path, the contract behind
 // BenchmarkMasterReqPath and BenchmarkNodeExec (bench_live_test.go at
 // the repo root): the master's /req pipeline — parse, placement over the
-// live view, completion observation, piggybacked load header, response —
-// and a node's /exec allocate nothing per request. The only allocations
+// live view, the frame dispatch round trip to a slave, completion
+// observation, response — and a node's /exec allocate nothing per
+// request. The only allocations
 // left are the load-stamp refresh (a handful every loadStampTTL,
 // amortized to ~0 per op), hence the pins are a small fraction rather
 // than exactly zero. TimeScale shrinks the virtual fork charge below
@@ -54,6 +55,20 @@ func TestReqPathAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
+	// A master whose policy places every dynamic on slave n: the pin
+	// covers the master-side dispatch (forward → exchange over a pooled
+	// frame connection → piggybacked load report) and the slave's frame
+	// loop serving it.
+	md, err := LaunchMaster(NodeOptions{
+		ID: 0, Masters: []int{0}, Slaves: []int{1}, NodeURLs: []string{"", n.URL},
+		Policy:      firstSlave{},
+		TimeScale:   1e-6,
+		LoadRefresh: time.Hour, PolicyTick: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer md.Shutdown()
 	// Sharded master (2 shards, master 0 owning an empty shard): the /req
 	// pipeline plus the shard-stamp header attach must stay pinned too.
 	ms, err := LaunchMaster(NodeOptions{
@@ -77,10 +92,12 @@ func TestReqPathAllocPins(t *testing.T) {
 	}{
 		{"master /req static", m.Handler(), "/req?class=s&demand=0&w=0.5&script=0", 0.1},
 		{"master /req dynamic", m.Handler(), "/req?class=d&demand=0&w=0.9&script=1", 0.1},
+		{"master /req dispatch", md.Handler(), "/req?class=d&demand=0&w=0.9&script=1", 0.1},
 		{"sharded /req static", ms.Handler(), "/req?class=s&demand=0&w=0.5&script=0", 0.1},
 		{"sharded /req dynamic", ms.Handler(), "/req?class=d&demand=0&w=0.9&script=1", 0.1},
 		{"node /exec", n.Handler(), "/exec?demand=0&w=0.5&size=64", 0.1},
 	}
+	execBefore := n.Executed()
 	for _, c := range cases {
 		req := httptest.NewRequest("GET", c.target, nil)
 		rw := &nullRW{}
@@ -95,6 +112,12 @@ func TestReqPathAllocPins(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, run); allocs > c.maxAvg {
 			t.Errorf("%s: %.2f allocs/op, pinned at ≤ %.2f", c.name, allocs, c.maxAvg)
 		}
+	}
+	// The dispatch case must really have crossed the hop. Each case runs
+	// 102 times (the warm-up, AllocsPerRun's own warm-up, 100 measured);
+	// the slave served the dispatch case and the node /exec case.
+	if got := n.Executed() - execBefore; got != 2*102 {
+		t.Errorf("slave executed %d requests, want %d (dispatch case did not reach it)", got, 2*102)
 	}
 }
 

@@ -1,7 +1,6 @@
 package httpcluster
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
@@ -19,12 +18,14 @@ import (
 // batching is enabled and no explicit BatchMax is configured.
 const DefaultBatchMax = 64
 
-var execCallPool = sync.Pool{New: func() any { return &execCall{done: make(chan error, 1)} }}
+// execCall carries one request to its target's batcher and its status
+// back; pooled so a batched dispatch allocates nothing.
+type execCall struct {
+	reqs [1]frameExec
+	done chan error
+}
 
-// errFrameUnavailable reports that the frame transport disappeared
-// under a batched call (negotiated down mid-flight) — defensive only,
-// since a pair never renegotiates away from binary.
-var errFrameUnavailable = errors.New("frame: binary transport unavailable")
+var execCallPool = sync.Pool{New: func() any { return &execCall{done: make(chan error, 1)} }}
 
 // execBatcher is the rendezvous between request handlers and one
 // target's batching goroutine.
@@ -32,8 +33,7 @@ type execBatcher struct {
 	ch chan *execCall
 }
 
-// batcherFor returns target's batcher, starting it on first use (only
-// pairs that negotiated binary framing ever get one).
+// batcherFor returns target's batcher, starting it on first use.
 func (f *frameDialer) batcherFor(target int) *execBatcher {
 	st := &f.states[target]
 	if b := st.bat.Load(); b != nil {
@@ -137,16 +137,13 @@ func (f *frameDialer) shipBatch(target int, calls []*execCall, reqs []frameExec,
 	if dlNs > 0 {
 		deadline = time.Unix(0, dlNs)
 	}
-	sts, err, handled := f.exchange(target, reqs, sts[:0], deadline)
+	sts, err := f.exchange(target, reqs, sts[:0], deadline)
 	f.m.batchesSent.Add(1)
 	f.m.batchedReqs.Add(int64(len(calls)))
 	for i, c := range calls {
-		switch {
-		case !handled:
-			c.done <- errFrameUnavailable
-		case err != nil:
+		if err != nil {
 			c.done <- err
-		default:
+		} else {
 			c.done <- statusToErr(sts[i])
 		}
 	}

@@ -18,17 +18,18 @@ import (
 	"msweb/internal/trace"
 )
 
-// Persistent binary framing for the master→slave /exec hop.
+// Persistent binary framing: the master→slave dispatch hop.
 //
-// The HTTP path costs a request-line + header parse, a header map, and
-// a response writer per dispatch — fine at the paper's 110 req/s/node,
-// measurable at 100k. The framing option replaces it with long-lived
-// connections carrying length-prefixed binary frames: a master upgrades
-// a connection once per node-pair (HTTP/1.1 Upgrade on GET /frame, so
-// the negotiation rides the existing port and falls back cleanly when
-// the peer predates the protocol), then exchanges fixed-layout exec
-// batches on it. Frame buffers are connection-owned and reused, so the
-// steady-state exchange allocates nothing on either side.
+// An HTTP round trip costs a request-line + header parse, a header map
+// and a response writer per dispatch — fine at the paper's 110
+// req/s/node, measurable at 100k. Masters therefore dispatch over
+// long-lived connections carrying length-prefixed binary frames: a
+// master upgrades a connection once (HTTP/1.1 Upgrade on GET /frame, so
+// the handshake rides the node's existing port), then exchanges
+// fixed-layout exec batches on it. Frame buffers are connection-owned
+// and reused, so the steady-state exchange allocates nothing on either
+// side. Slaves keep serving HTTP /exec for direct probes; no master
+// dispatches over it.
 //
 // Wire format (all integers little-endian):
 //
@@ -351,8 +352,7 @@ func readFrame(br *bufio.Reader, buf []byte) (payload, nbuf []byte, err error) {
 	return buf, buf, nil
 }
 
-// statusToErr maps a frame status to the dispatch error taxonomy, the
-// same classification the HTTP forward path applies to response codes.
+// statusToErr maps a frame status to the dispatch error taxonomy.
 func statusToErr(st int) error {
 	switch st {
 	case http.StatusOK:
@@ -366,11 +366,10 @@ func statusToErr(st int) error {
 
 // slave side --------------------------------------------------------------
 
-// handleFrame negotiates the binary protocol: an Upgrade request hijacks
-// the connection out of net/http and hands it to the frame loop. Peers
-// that ask for anything else get a plain HTTP error — which a
-// negotiating master reads as "HTTP only", keeping old and new nodes
-// interoperable in one cluster.
+// handleFrame upgrades to the binary protocol: an Upgrade request
+// hijacks the connection out of net/http and hands it to the frame loop.
+// Peers that ask for anything else get a plain HTTP error, which a
+// dialing master reports as a failed (never executed) dispatch.
 func (n *Node) handleFrame(rw http.ResponseWriter, req *http.Request) {
 	if !strings.EqualFold(req.Header.Get("Upgrade"), frameProtocol) {
 		http.Error(rw, "unsupported upgrade", http.StatusBadRequest)
@@ -473,7 +472,7 @@ func (n *Node) closeFrameConns() {
 // entry-wise with 501 on plain nodes). All scratch is connection-owned,
 // so a steady-state exchange allocates nothing. A malformed frame drops
 // the connection: the peer is either corrupt or hostile, and the master
-// will fall back to a fresh dial.
+// will redial.
 func (n *Node) serveFrames(conn net.Conn, br *bufio.Reader) {
 	var buf, out []byte
 	var reqs []frameExec
@@ -573,13 +572,6 @@ func (n *Node) execOne(r frameExec) int {
 
 // master side -------------------------------------------------------------
 
-// Negotiation states for one node-pair.
-const (
-	frameModeUnknown int32 = iota
-	frameModeBinary
-	frameModeHTTP
-)
-
 // frameIdleCap bounds the idle framed connections pooled per target.
 const frameIdleCap = 64
 
@@ -591,16 +583,15 @@ type frameConn struct {
 	buf []byte
 }
 
-// frameNodeState is a master's per-target framing state.
+// frameNodeState is a master's per-target transport state: the idle
+// connection pool and (when batching) the target's batcher.
 type frameNodeState struct {
-	mode atomic.Int32
 	idle chan *frameConn
 	bat  atomic.Pointer[execBatcher]
 }
 
-// frameDialer is a master's framing client: per-target negotiation
-// state, pooled persistent connections, and (when configured) the batch
-// dispatchers.
+// frameDialer is a master's dispatch client: pooled persistent
+// connections per target and, when configured, the batch dispatchers.
 type frameDialer struct {
 	m      *Master
 	states []frameNodeState
@@ -631,61 +622,68 @@ func (f *frameDialer) close() {
 
 var errMasterStopped = errors.New("frame: master shutting down")
 
+// upgradeError is a failure before a connection carried any exec frame:
+// no URL, dial, upgrade write or read, or a refused upgrade. The work
+// never reached the node, so the dispatch is always safe to retry.
+type upgradeError struct{ err error }
+
+func (e *upgradeError) Error() string { return "frame upgrade: " + e.err.Error() }
+func (e *upgradeError) Unwrap() error { return e.err }
+
 // acquire returns a framed connection to target, dialing and upgrading
-// when the pool is empty. handled=false means the peer negotiated down
-// to HTTP (permanently for this pair); the caller must take the HTTP
-// path.
-func (f *frameDialer) acquire(target int, deadline time.Time) (fc *frameConn, err error, handled bool) {
-	st := &f.states[target]
+// when the pool is empty. Every failure is an *upgradeError.
+func (f *frameDialer) acquire(target int, deadline time.Time) (*frameConn, error) {
 	select {
-	case fc := <-st.idle:
-		return fc, nil, true
+	case fc := <-f.states[target].idle:
+		return fc, nil
 	default:
-	}
-	if st.mode.Load() == frameModeHTTP {
-		return nil, nil, false
 	}
 	base := f.m.nodeURL(target)
 	if base == "" {
-		return nil, fmt.Errorf("no URL for node %d", target), true
+		return nil, &upgradeError{fmt.Errorf("no URL for node %d", target)}
 	}
 	addr := strings.TrimPrefix(base, "http://")
 	dialTO := time.Until(deadline)
 	if dialTO <= 0 {
-		return nil, errDeadline, true
+		return nil, errDeadline
 	}
 	if dialTO > 5*time.Second {
 		dialTO = 5 * time.Second
 	}
 	c, err := net.DialTimeout("tcp", addr, dialTO)
 	if err != nil {
-		return nil, err, true
+		return nil, &upgradeError{err}
 	}
 	c.SetDeadline(deadline) //nolint:errcheck
 	if _, err := io.WriteString(c, "GET /frame HTTP/1.1\r\nHost: "+addr+
 		"\r\nConnection: Upgrade\r\nUpgrade: "+frameProtocol+"\r\n\r\n"); err != nil {
 		c.Close()
-		return nil, err, true
+		return nil, &upgradeError{err}
 	}
 	br := bufio.NewReaderSize(c, 4<<10)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		c.Close()
-		return nil, err, true
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// A well-formed refusal: the peer speaks HTTP but not frames.
-		// Remember that for the pair and fall back.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		resp.Body.Close()
-		c.Close()
-		st.mode.Store(frameModeHTTP)
-		return nil, nil, false
+		return nil, &upgradeError{err}
 	}
 	resp.Body.Close()
-	st.mode.Store(frameModeBinary)
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		c.Close()
+		return nil, &upgradeError{fmt.Errorf("status %d", resp.StatusCode)}
+	}
 	f.m.frameDials.Add(1)
-	return &frameConn{c: c, br: br}, nil, true
+	return &frameConn{c: c, br: br}, nil
+}
+
+// fail closes a connection whose exchange broke. A break that outlived
+// the request deadline is reported as errDeadline: the deadline, not
+// the node, ended it.
+func (fc *frameConn) fail(err error, deadline time.Time) error {
+	fc.c.Close()
+	if !time.Now().Before(deadline) {
+		return errDeadline
+	}
+	return err
 }
 
 // release returns a healthy connection to the pool (or closes it when
@@ -702,30 +700,27 @@ func (f *frameDialer) release(target int, fc *frameConn) {
 // for every entry are appended to dst, and the response's piggybacked
 // load report is folded into the master's view. Any transport or
 // protocol error closes the connection (the next call dials fresh).
-func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) (statuses []int, err error, handled bool) {
-	fc, err, handled := f.acquire(target, deadline)
-	if !handled || err != nil {
-		return dst, err, handled
+func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) ([]int, error) {
+	fc, err := f.acquire(target, deadline)
+	if err != nil {
+		return dst, err
 	}
 	fc.c.SetDeadline(deadline) //nolint:errcheck
 	fc.buf = appendExecFrame(fc.buf[:0], reqs)
 	if _, err := fc.c.Write(fc.buf); err != nil {
-		fc.c.Close()
-		return dst, err, true
+		return dst, fc.fail(err, deadline)
 	}
 	payload, nbuf, err := readFrame(fc.br, fc.buf)
 	fc.buf = nbuf
 	if err != nil {
-		fc.c.Close()
-		return dst, err, true
+		return dst, fc.fail(err, deadline)
 	}
 	dst, load, hasLoad, sum, err := parseRespPayload(payload, dst)
-	if err != nil || len(dst) != len(reqs) {
-		fc.c.Close()
-		if err == nil {
-			err = errFrameCount
-		}
-		return dst, err, true
+	if err == nil && len(dst) != len(reqs) {
+		err = errFrameCount
+	}
+	if err != nil {
+		return dst, fc.fail(err, deadline)
 	}
 	if hasLoad {
 		f.m.storePiggy(target, load)
@@ -736,35 +731,29 @@ func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline
 		f.m.storeShardSummaryWire(sum)
 	}
 	f.release(target, fc)
-	return dst, nil, true
+	return dst, nil
 }
 
-// forwardFrame executes one dynamic request over the binary transport,
-// batching when configured and the pair has negotiated frames. The
-// boolean reports whether the frame path handled the request; false
-// sends the caller to HTTP.
-func (m *Master) forwardFrame(target int, p reqParams, deadline time.Time) (error, bool) {
-	f := m.frames
+// forward executes one dynamic request on target over the persistent
+// frame transport — the paper's low-overhead remote-execution path —
+// through target's batcher when a batch window is configured. The
+// request deadline bounds the round trip and travels in the entry, so
+// the slave refuses work that expired in its queue.
+func (m *Master) forward(target int, p reqParams, deadline time.Time) error {
 	req := frameExec{demand: p.demand, w: p.w, deadlineNs: deadline.UnixNano(), fork: true}
-	if m.batchWindow > 0 && f.states[target].mode.Load() == frameModeBinary {
-		return f.batchExec(target, req), true
+	if m.batchWindow > 0 {
+		return m.frames.batchExec(target, req)
 	}
-	call := execCallPool.Get().(*execCall)
-	defer execCallPool.Put(call)
-	call.reqs[0] = req
-	sts, err, handled := f.exchange(target, call.reqs[:], call.sts[:0], deadline)
-	if !handled || err != nil {
-		return err, handled
+	// Stack scratch, not a pooled call: the race detector makes
+	// sync.Pool drop items at random, which would put allocations on
+	// the pinned dispatch path.
+	reqs := [1]frameExec{req}
+	var sts [1]int
+	got, err := m.frames.exchange(target, reqs[:], sts[:0], deadline)
+	if err != nil {
+		return err
 	}
-	return statusToErr(sts[0]), true
-}
-
-// execCall carries one request through the frame path (and, when
-// batching, to its batcher) without allocating per dispatch.
-type execCall struct {
-	reqs [1]frameExec
-	sts  [1]int
-	done chan error
+	return statusToErr(got[0])
 }
 
 // runFrameReqs serves a 'Q' batch through the master's /req pipeline —

@@ -12,9 +12,9 @@ import (
 	"msweb/internal/core"
 )
 
-// launchFrameMaster wires a master with binary framing (and optionally
-// batching) over the given slave URLs, polling disabled so only the
-// request path drives transport and breaker state.
+// launchFrameMaster wires a master (optionally batching) over the given
+// slave URLs, polling disabled so only the request path drives transport
+// and breaker state.
 func launchFrameMaster(t *testing.T, rs Resilience, batch time.Duration, slaveURLs ...string) *Master {
 	t.Helper()
 	urls := append([]string{""}, slaveURLs...)
@@ -23,17 +23,16 @@ func launchFrameMaster(t *testing.T, rs Resilience, batch time.Duration, slaveUR
 		slaves[i] = i + 1
 	}
 	m, err := LaunchMaster(NodeOptions{
-		ID:            0,
-		TimeScale:     1e-6,
-		Masters:       []int{0},
-		Slaves:        slaves,
-		NodeURLs:      urls,
-		Policy:        firstSlave{},
-		LoadRefresh:   time.Hour,
-		PolicyTick:    time.Hour,
-		Resilience:    rs,
-		BinaryFraming: true,
-		BatchWindow:   batch,
+		ID:          0,
+		TimeScale:   1e-6,
+		Masters:     []int{0},
+		Slaves:      slaves,
+		NodeURLs:    urls,
+		Policy:      firstSlave{},
+		LoadRefresh: time.Hour,
+		PolicyTick:  time.Hour,
+		Resilience:  rs,
+		BatchWindow: batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 		}
 	}
 	if n.framesServed.Load() == 0 {
-		t.Fatal("slave served no binary frames; transport fell back to HTTP")
+		t.Fatal("slave served no binary frames")
 	}
 	if m.frameDials.Load() == 0 {
 		t.Fatal("master recorded no frame upgrades")
@@ -164,34 +163,6 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 	}
 	if m.fresh.Stamp(1) == 0 {
 		t.Fatal("freshness stamp for the slave never touched")
-	}
-	if got := m.frames.states[1].mode.Load(); got != frameModeBinary {
-		t.Fatalf("negotiation state %d, want binary (%d)", got, frameModeBinary)
-	}
-}
-
-// A peer that speaks HTTP but refuses the upgrade negotiates the pair
-// down to HTTP permanently; requests still succeed over the fallback.
-func TestFrameNegotiationFallback(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/frame" {
-			http.Error(w, "no such endpoint", http.StatusNotFound)
-			return
-		}
-		w.Write(okBody) //nolint:errcheck
-	}))
-	defer legacy.Close()
-
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, legacy.URL)
-	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 over the HTTP fallback", resp.StatusCode)
-	}
-	if got := m.frames.states[1].mode.Load(); got != frameModeHTTP {
-		t.Fatalf("negotiation state %d, want http-only (%d)", got, frameModeHTTP)
-	}
-	if m.frameDials.Load() != 0 {
-		t.Fatal("fallback pair counted a frame upgrade")
 	}
 }
 
@@ -210,9 +181,9 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(-time.Second).UnixNano(), fork: true},
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(time.Minute).UnixNano(), fork: true},
 	}
-	sts, err, handled := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
-	if err != nil || !handled {
-		t.Fatalf("exchange: err=%v handled=%v", err, handled)
+	sts, err := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatalf("exchange: %v", err)
 	}
 	if sts[0] != http.StatusGatewayTimeout || sts[1] != http.StatusOK {
 		t.Fatalf("statuses %v, want [504 200]", sts)
@@ -250,22 +221,56 @@ func TestFrameClientDeadlineExhausts(t *testing.T) {
 	}
 }
 
-// frameKiller upgrades and immediately drops the connection, emulating
-// a slave that dies mid-exchange on the binary transport.
-func frameKiller() *httptest.Server {
+// framePeer is a fake slave on the frame transport: it accepts the
+// /frame upgrade and answers every exec frame with serve's status for
+// each entry, or — when serve reports drop — closes the connection after
+// reading the frame: a slave that dies once the work may have started.
+func framePeer(serve func() (status int, drop bool)) *httptest.Server {
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/frame" {
 			w.Write(okBody) //nolint:errcheck
 			return
 		}
-		conn, _, err := w.(http.Hijacker).Hijack()
+		conn, brw, err := w.(http.Hijacker).Hijack()
 		if err != nil {
 			return
 		}
-		conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + //nolint:errcheck
-			frameProtocol + "\r\n\r\n"))
-		conn.Close()
+		defer conn.Close()
+		if _, err := brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " +
+			frameProtocol + "\r\n\r\n"); err != nil || brw.Flush() != nil {
+			return
+		}
+		var buf, out []byte
+		var reqs []frameExec
+		var sts []int
+		for {
+			payload, nbuf, err := readFrame(brw.Reader, buf)
+			buf = nbuf
+			if err != nil {
+				return
+			}
+			if reqs, err = parseExecPayload(payload, reqs[:0]); err != nil {
+				return
+			}
+			status, drop := serve()
+			if drop {
+				return
+			}
+			sts = sts[:0]
+			for range reqs {
+				sts = append(sts, status)
+			}
+			out = appendRespFrame(out[:0], sts, core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}, nil)
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
 	}))
+}
+
+// frameKiller is a framePeer that drops every connection mid-exchange.
+func frameKiller() *httptest.Server {
+	return framePeer(func() (int, bool) { return 0, true })
 }
 
 // A frame transport failure fails over to a distinct node and feeds the

@@ -2,6 +2,7 @@ package httpcluster
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"testing"
@@ -138,9 +139,16 @@ func TestNodeLoadEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep core.Load
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if ct := resp.Header.Get("Content-Type"); ct != core.LoadWireContentType {
+		t.Fatalf("content type %q, want %q", ct, core.LoadWireContentType)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	rep, err := core.ParseLoadWire(body)
+	if err != nil {
+		t.Fatalf("/load body %q: %v", body, err)
 	}
 	if rep.CPUIdle < 0 || rep.CPUIdle > 1 || rep.DiskAvail < 0 || rep.DiskAvail > 1 {
 		t.Fatalf("implausible load report: %+v", rep)

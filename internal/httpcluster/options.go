@@ -33,7 +33,7 @@ type Resilience struct {
 	Breaker BreakerConfig
 	// DispatchTimeout is the default per-request deadline when the
 	// client sends no X-Msweb-Timeout-Ms header, and the bound on every
-	// master→slave /exec round trip.
+	// master→slave dispatch round trip.
 	DispatchTimeout time.Duration
 	// RetryBudget is the maximum number of placement attempts for one
 	// dynamic request, across distinct nodes where possible.
@@ -52,7 +52,7 @@ type Resilience struct {
 	// MaxInflight bounds concurrently admitted /req requests; above it
 	// requests are shed with 503 + Retry-After. 0 = unbounded.
 	MaxInflight int
-	// MaxQueue sheds /exec work with 503 *before* it queues when the
+	// MaxQueue sheds exec work with 503 *before* it queues when the
 	// node's combined CPU+disk queue population is at least MaxQueue.
 	// 0 = unbounded.
 	MaxQueue int
@@ -101,8 +101,8 @@ type NodeOptions struct {
 	TimeScale float64
 	// Uncalibrated switches the node's virtual resources to fast mode:
 	// service demand is charged to a virtual clock instead of being slept
-	// off, so /exec completes at CPU speed while load reports (and thus
-	// RSRC placement) still reflect the offered demand. This uncaps the
+	// off, so exec work completes at CPU speed while load reports (and
+	// thus RSRC placement) still reflect the offered demand. This uncaps the
 	// data plane for throughput work; calibrated mode (the default)
 	// remains the paper-faithful configuration.
 	Uncalibrated bool
@@ -120,15 +120,9 @@ type NodeOptions struct {
 	// platforms without SO_REUSEPORT the option quietly degrades to 1
 	// (Node.ListenerShards reports the effective count).
 	ListenerShards int
-	// BinaryFraming lets a master upgrade its master→slave hop to the
-	// persistent length-prefixed binary protocol (see frame.go),
-	// negotiated per node-pair with transparent HTTP fallback. Nodes
-	// always serve the /frame upgrade endpoint; this knob only controls
-	// whether a master dials it.
-	BinaryFraming bool
 	// BatchWindow > 0 coalesces dynamic requests bound for the same slave
-	// within the window into one frame (implies BinaryFraming). Off by
-	// default: in calibrated mode the window adds artificial latency.
+	// within the window into one exec frame. Off by default: in
+	// calibrated mode the window adds artificial latency.
 	BatchWindow time.Duration
 	// BatchMax caps requests per frame when batching (default 64).
 	BatchMax int
@@ -263,11 +257,8 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	if o.PollDeadlineFloor <= 0 {
 		o.PollDeadlineFloor = DefaultPollDeadlineFloor
 	}
-	if o.BatchWindow > 0 {
-		o.BinaryFraming = true // batching rides the frame transport
-		if o.BatchMax == 0 {
-			o.BatchMax = DefaultBatchMax
-		}
+	if o.BatchWindow > 0 && o.BatchMax == 0 {
+		o.BatchMax = DefaultBatchMax
 	}
 	o.Resilience = o.Resilience.withDefaults()
 	return o
@@ -314,10 +305,9 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	m := &Master{
 		Node:   n,
 		policy: o.Policy,
-		// No global client timeout: every outbound request (forward,
-		// poll fetch) carries its own context deadline, so a short
-		// dispatch timeout cannot starve the slower poll round or vice
-		// versa.
+		// The HTTP client carries the control plane only: /load polls,
+		// /shard gossip and /membership announces, each under its own
+		// context deadline (no global client timeout).
 		client: &http.Client{
 			Transport: &http.Transport{MaxIdleConnsPerHost: 128},
 		},
@@ -330,17 +320,15 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		brk:         newBreakerSet(len(o.NodeURLs), o.Resilience.Breaker),
 		respHist:    obs.NewHistogram(),
 		backoffHist: obs.NewHistogram(),
-		// Piggybacked load reports are always on (nodes that never attach
-		// the header simply never fill their slot).
+		// Piggybacked load reports are always on: every frame response
+		// carries one.
 		piggy:          make([]piggySlot, len(o.NodeURLs)),
 		piggyAppliedAt: make([]int64, len(o.NodeURLs)),
 		fresh:          obs.NewFreshness(len(o.NodeURLs)),
 		batchWindow:    o.BatchWindow,
 		batchMax:       o.BatchMax,
 	}
-	if o.BinaryFraming {
-		m.frames = newFrameDialer(m, len(o.NodeURLs))
-	}
+	m.frames = newFrameDialer(m, len(o.NodeURLs))
 	for id, u := range o.NodeURLs {
 		if u != "" {
 			m.SetNodeURL(id, u)

@@ -1,7 +1,6 @@
 package httpcluster
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -9,28 +8,21 @@ import (
 )
 
 // Piggybacked load reports. A poll-only master's view of a node is on
-// average half a poll interval stale; every /exec round trip is a
+// average half a poll interval stale; every dispatch round trip is a
 // fresher sample the master already paid for. Nodes therefore attach
-// their compact l1 load line (the /load?fmt=c wire format, newline
-// stripped) to /exec and /req responses as the X-Msweb-Load header —
-// and to every binary frame response — and masters fold it into the
-// scheduling view on receipt. The poller stays as the slow-path
-// fallback that covers idle pairs (no responses → no piggybacks) and
-// skips nodes whose piggybacked report is younger than the poll
-// interval.
+// their load report to every binary frame response, and masters fold it
+// into the scheduling view on receipt. The poller stays as the
+// slow-path fallback that covers idle pairs (no responses → no
+// piggybacks) and skips nodes whose piggybacked report is younger than
+// the poll interval.
 //
 // Node side, the report is a cached stamp refreshed at most every
-// loadStampTTL: the hot path pays one atomic load and a header-map
-// assignment of a prebuilt []string — nothing per response is
-// allocated or sampled, which keeps the 0 allocs/op pins and stops
-// piggybacking from hammering the rstat windows. Master side, reports
-// land in per-node slots guarded by tiny mutexes and are overlaid onto
-// the policy's working view only when the version counter moved — the
-// placement path's steady-state cost is one atomic load.
-
-// LoadHeader carries a node's compact load report on /exec and /req
-// responses.
-const LoadHeader = "X-Msweb-Load"
+// loadStampTTL: the hot path pays one atomic load — nothing per
+// response is allocated or sampled, which keeps the 0 allocs/op pins
+// and stops piggybacking from hammering the rstat windows. Master side,
+// reports land in per-node slots guarded by tiny mutexes and are
+// overlaid onto the policy's working view only when the version counter
+// moved — the placement path's steady-state cost is one atomic load.
 
 // loadStampTTL bounds how stale a node's cached piggyback report may
 // be. Well under the default 100 ms poll period, so piggybacked views
@@ -41,7 +33,6 @@ const loadStampTTL = 5 * time.Millisecond
 type loadStamp struct {
 	at   int64 // unixnano when sampled
 	load core.Load
-	hdr  []string // prebuilt header value: one l1 line, newline stripped
 }
 
 // currentLoad returns the node's freshest self-report, resampling when
@@ -63,26 +54,9 @@ func (n *Node) refreshLoadStamp() *loadStamp {
 		DiskQueue: n.res.Disk.QueueLength(),
 		Speed:     1,
 	}
-	b := l.AppendWire(make([]byte, 0, 64))
-	s := &loadStamp{
-		at:   time.Now().UnixNano(),
-		load: l,
-		hdr:  []string{string(b[: len(b)-1 : len(b)-1])}, // header values cannot carry the trailing \n
-	}
+	s := &loadStamp{at: time.Now().UnixNano(), load: l}
 	n.stamp.Store(s)
 	return s
-}
-
-// attachLoadHeader piggybacks the node's load report onto a response.
-// Direct map assignment of the cached slice: no []string allocation,
-// unlike Header().Set. Sharded masters additionally attach their
-// own-shard summary stamp (nil pointer everywhere else — one atomic
-// load and a branch).
-func (n *Node) attachLoadHeader(h http.Header) {
-	h[LoadHeader] = n.currentLoad().hdr
-	if s := n.shardWire.Load(); s != nil {
-		h[ShardHeader] = s.hdr
-	}
 }
 
 // piggySlot is a master's mailbox for one node's piggybacked reports.
@@ -107,24 +81,6 @@ func (m *Master) storePiggy(id int, l core.Load) {
 	m.fresh.Touch(id, now)
 	m.piggyVer.Add(1)
 	m.piggyTotal.Add(1)
-}
-
-// storePiggyHeader parses a response's X-Msweb-Load header, if any,
-// into node id's slot.
-func (m *Master) storePiggyHeader(id int, h http.Header) {
-	v := h[LoadHeader]
-	if len(v) == 0 {
-		return
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], v[0]...)
-	l, err := core.ParseLoadWire(b)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-	if err != nil {
-		return
-	}
-	m.storePiggy(id, l)
 }
 
 // peekPiggy returns node id's latest piggybacked report and its

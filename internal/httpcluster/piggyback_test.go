@@ -9,7 +9,7 @@ import (
 )
 
 // With polling disabled, the master's view of a slave still refreshes:
-// the /exec response's piggybacked report lands in the working view,
+// the exec frame response's piggybacked report lands in the working view,
 // and the staleness stamp moves — strictly fresher than the poll-only
 // baseline, which would never update at all here.
 func TestPiggybackRefreshesView(t *testing.T) {
@@ -29,7 +29,7 @@ func TestPiggybackRefreshesView(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if m.piggyTotal.Load() == 0 {
-		t.Fatal("no piggybacked report received over HTTP")
+		t.Fatal("no piggybacked report received over frames")
 	}
 	if s := m.fresh.Stamp(1); s < before {
 		t.Fatalf("freshness stamp %d not advanced past %d", s, before)
@@ -45,24 +45,6 @@ func TestPiggybackRefreshesView(t *testing.T) {
 	m.placeMu.Unlock()
 	if got != l {
 		t.Fatalf("working view load %+v, want piggybacked %+v", got, l)
-	}
-}
-
-// The /req response itself piggybacks the master's own load line, so
-// external clients (and future master-to-master traffic) get the same
-// freshness for free.
-func TestReqResponseCarriesLoadHeader(t *testing.T) {
-	m := launchTestMaster(t, Resilience{DisableShedding: true})
-	resp, _ := getStatus(t, m.URL+"/req?class=s&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	v := resp.Header.Get(LoadHeader)
-	if v == "" {
-		t.Fatalf("no %s header on /req response", LoadHeader)
-	}
-	if _, err := core.ParseLoadWire([]byte(v)); err != nil {
-		t.Fatalf("header %q does not parse as a load line: %v", v, err)
 	}
 }
 

@@ -28,32 +28,12 @@ func (firstSlave) Place(_ core.Request, master int, v *core.View) int {
 func (firstSlave) ObserveCompletion(trace.Class, float64, float64) {}
 func (firstSlave) Tick(float64, *core.View)                        {}
 
-// launchTestMaster wires a master over the given fake-slave URLs with
-// polling effectively disabled, so only the request path drives breaker
-// state.
+// launchTestMaster wires an unbatched master over the given fake-slave
+// URLs with polling effectively disabled, so only the request path
+// drives breaker state.
 func launchTestMaster(t *testing.T, rs Resilience, slaveURLs ...string) *Master {
 	t.Helper()
-	urls := append([]string{""}, slaveURLs...)
-	slaves := make([]int, len(slaveURLs))
-	for i := range slaves {
-		slaves[i] = i + 1
-	}
-	m, err := LaunchMaster(NodeOptions{
-		ID:          0,
-		TimeScale:   1e-6,
-		Masters:     []int{0},
-		Slaves:      slaves,
-		NodeURLs:    urls,
-		Policy:      firstSlave{},
-		LoadRefresh: time.Hour,
-		PolicyTick:  time.Hour,
-		Resilience:  rs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Shutdown)
-	return m
+	return launchFrameMaster(t, rs, 0, slaveURLs...)
 }
 
 func getStatus(t *testing.T, url string, header http.Header) (*http.Response, string) {
@@ -77,10 +57,10 @@ func getStatus(t *testing.T, url string, header http.Header) (*http.Response, st
 // A client deadline tighter than a slow slave's service turns into a 502
 // (exhausted), not an unbounded wait.
 func TestClientDeadlineExhausts(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := framePeer(func() (int, bool) {
 		time.Sleep(300 * time.Millisecond)
-		w.Write(okBody) //nolint:errcheck
-	}))
+		return http.StatusOK, false
+	})
 	defer slow.Close()
 
 	m := launchTestMaster(t, Resilience{DisableShedding: true}, slow.URL)
@@ -98,8 +78,8 @@ func TestClientDeadlineExhausts(t *testing.T) {
 	}
 }
 
-// hijackClose kills the TCP connection mid-exchange: the client sees a
-// transport error after the request was sent (so the work may have run).
+// hijackClose kills the TCP connection before answering: on GET /frame
+// the master's upgrade fails before any exec frame was written.
 func hijackClose(w http.ResponseWriter, _ *http.Request) {
 	conn, _, err := w.(http.Hijacker).Hijack()
 	if err == nil {
@@ -112,15 +92,15 @@ func hijackClose(w http.ResponseWriter, _ *http.Request) {
 // first ambiguous failure with 502.
 func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 	var hits1, hits2 atomic.Int64
-	bad1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	bad1 := framePeer(func() (int, bool) {
 		hits1.Add(1)
-		hijackClose(w, r)
-	}))
+		return 0, true
+	})
 	defer bad1.Close()
-	bad2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	bad2 := framePeer(func() (int, bool) {
 		hits2.Add(1)
-		hijackClose(w, r)
-	}))
+		return 0, true
+	})
 	defer bad2.Close()
 
 	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
@@ -135,7 +115,7 @@ func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 		t.Fatalf("failovers=%d, want 2", m.Failovers())
 	}
 
-	// Non-idempotent: the hijacked connection is ambiguous (the request
+	// Non-idempotent: the dropped connection is ambiguous (the exec frame
 	// reached the node), so no retry and no local rerun — a 502.
 	m2 := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
 	resp, _ = getStatus(t, m2.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
@@ -147,17 +127,55 @@ func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 	}
 }
 
+// A connection upgrade that fails never carried the exec frame, so even
+// a non-idempotent request is safe to retry: it moves on to the next
+// slave and finally runs locally, and each failed upgrade still charges
+// its node's breaker. Both ways a peer can fail the handshake count:
+// dropping the connection and refusing the upgrade with an HTTP error.
+func TestUpgradeFailureIsNotExecuted(t *testing.T) {
+	refuse := func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "no frames here", http.StatusNotFound)
+	}
+	for name, fail := range map[string]http.HandlerFunc{"dropped": hijackClose, "refused": refuse} {
+		var hits1, hits2 atomic.Int64
+		peer := func(hits *atomic.Int64) *httptest.Server {
+			return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				fail(w, r)
+			}))
+		}
+		bad1, bad2 := peer(&hits1), peer(&hits2)
+		defer bad1.Close()
+		defer bad2.Close()
+
+		m := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
+		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200 via local fallback after two failed upgrades", name, resp.StatusCode)
+		}
+		if hits1.Load() != 1 || hits2.Load() != 1 {
+			t.Fatalf("%s: upgrade attempts %d/%d, want one per slave", name, hits1.Load(), hits2.Load())
+		}
+		if m.Failovers() != 2 || m.Exhausted() != 0 || m.Served() != 1 {
+			t.Fatalf("%s: failovers=%d exhausted=%d served=%d, want 2/0/1", name, m.Failovers(), m.Exhausted(), m.Served())
+		}
+		for _, id := range []int{1, 2} {
+			if m.BreakerState(id) != breakerOpen {
+				t.Fatalf("%s: slave %d breaker state %d, want open after its failed upgrade", name, id, m.BreakerState(id))
+			}
+		}
+	}
+}
+
 // A hedged request completes at the fast secondary while the slow
 // primary is still sleeping.
 func TestHedgeWinsTailLatency(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := framePeer(func() (int, bool) {
 		time.Sleep(400 * time.Millisecond)
-		w.Write(okBody) //nolint:errcheck
-	}))
+		return http.StatusOK, false
+	})
 	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(okBody) //nolint:errcheck
-	}))
+	fast := framePeer(func() (int, bool) { return http.StatusOK, false })
 	defer fast.Close()
 
 	m := launchTestMaster(t, Resilience{HedgeAfter: 30 * time.Millisecond, DisableShedding: true}, slow.URL, fast.URL)
@@ -181,7 +199,7 @@ func TestHedgeWinsTailLatency(t *testing.T) {
 // admission, dynamics are shed with 503 + Retry-After instead of
 // silently overrunning the master tier.
 func TestShedsWhenAllSlavesOpen(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
+	bad := frameKiller()
 	defer bad.Close()
 
 	m, err := LaunchMaster(NodeOptions{
@@ -321,9 +339,7 @@ func TestNodeShedAndDeadline(t *testing.T) {
 // than the budget allows, the request exhausts quickly instead of
 // sleeping past its deadline.
 func TestBackoffRespectsDeadline(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusInternalServerError)
-	}))
+	bad := framePeer(func() (int, bool) { return http.StatusInternalServerError, false })
 	defer bad.Close()
 
 	// A refusing (status-error) slave is always safe to retry, so the

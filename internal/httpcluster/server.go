@@ -27,20 +27,18 @@ const (
 	// TimeoutHeader carries the client's relative deadline budget for a
 	// /req call, in milliseconds.
 	TimeoutHeader = "X-Msweb-Timeout-Ms"
-	// DeadlineHeader carries the absolute deadline (UnixNano) on
-	// master→slave /exec calls.
+	// DeadlineHeader carries the absolute deadline (UnixNano) on direct
+	// /exec calls; master dispatches carry it inside the exec frame.
 	DeadlineHeader = "X-Msweb-Deadline-Ns"
 )
 
-// A node's /load endpoint serves core.Load directly — the live analogue
-// of rstat(). core.Load carries the JSON tags, so the wire format and
-// the scheduler input cannot drift apart. The compact fmt=c fast path
-// is the same fields in wire form (see core.AppendWire).
+// A node's /load endpoint serves core.Load as one compact l1 line (see
+// core.AppendWire) — the live analogue of rstat().
 
 // Node is one cluster machine: virtual resources behind a real HTTP
-// server exposing /exec (run work), /load (report load) and /metrics
-// (Prometheus text exposition). Masters additionally expose /req (see
-// Master).
+// server exposing /frame (the persistent dispatch transport), /exec
+// (run work directly), /load (report load) and /metrics (Prometheus
+// text exposition). Masters additionally expose /req (see Master).
 type Node struct {
 	ID        int
 	URL       string
@@ -48,7 +46,7 @@ type Node struct {
 	fork      time.Duration
 	timeScale float64
 	origin    time.Time
-	maxQueue  int // shed /exec before queueing at this population; 0 = off
+	maxQueue  int // shed exec work before queueing at this population; 0 = off
 	srv       *http.Server
 	// lis holds the node's listener shards: SO_REUSEPORT sockets sharing
 	// one port, each served by its own accept loop (see listener.go).
@@ -144,11 +142,11 @@ func (n *Node) Executed() int64 { return n.executed.Load() }
 // CGIServed returns how many forked (dynamic) requests the node ran.
 func (n *Node) CGIServed() int64 { return n.cgiServed.Load() }
 
-// ExecShed returns how many /exec requests the node refused before
+// ExecShed returns how many exec requests the node refused before
 // queueing because its queue population was at MaxQueue.
 func (n *Node) ExecShed() int64 { return n.execShed.Load() }
 
-// DeadlineExpired returns how many /exec requests arrived with their
+// DeadlineExpired returns how many exec requests arrived with their
 // propagated deadline already passed.
 func (n *Node) DeadlineExpired() int64 { return n.deadlineExpired.Load() }
 
@@ -200,7 +198,6 @@ func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
 	case http.StatusGatewayTimeout:
 		http.Error(rw, "deadline expired before execution", http.StatusGatewayTimeout)
 	default:
-		n.attachLoadHeader(rw.Header())
 		writeBody(rw, p.size)
 	}
 }
@@ -267,7 +264,7 @@ var wireBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (n *Node) handleLoad(rw http.ResponseWriter, req *http.Request) {
+func (n *Node) handleLoad(rw http.ResponseWriter, _ *http.Request) {
 	rep := core.Load{
 		CPUIdle:   n.res.CPU.IdleRatio(),
 		DiskAvail: n.res.Disk.IdleRatio(),
@@ -275,19 +272,12 @@ func (n *Node) handleLoad(rw http.ResponseWriter, req *http.Request) {
 		DiskQueue: n.res.Disk.QueueLength(),
 		Speed:     1,
 	}
-	if queryHasValue(req.URL.RawQuery, "fmt", "c") {
-		// Compact fast path: one pooled buffer, strconv appends, no
-		// reflection. This is what the master's poller asks for.
-		buf := wireBufPool.Get().(*[]byte)
-		b := rep.AppendWire((*buf)[:0])
-		rw.Header().Set("Content-Type", core.LoadWireContentType)
-		rw.Write(b) //nolint:errcheck
-		*buf = b
-		wireBufPool.Put(buf)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(rep) //nolint:errcheck
+	buf := wireBufPool.Get().(*[]byte)
+	b := rep.AppendWire((*buf)[:0])
+	rw.Header().Set("Content-Type", core.LoadWireContentType)
+	rw.Write(b) //nolint:errcheck
+	*buf = b
+	wireBufPool.Put(buf)
 }
 
 // Shutdown stops the server and unblocks in-flight work. Resources are
@@ -427,8 +417,8 @@ type Master struct {
 	spillView  core.View
 	spillCands []int
 
-	// frames is the binary-framing client (nil = transport disabled);
-	// batchWindow/batchMax configure batched dispatch over it.
+	// frames is the dispatch client; batchWindow/batchMax configure
+	// batched dispatch over it.
 	frames      *frameDialer
 	batchWindow time.Duration
 	batchMax    int
@@ -729,11 +719,10 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 	}
 }
 
-// fetchLoad polls one node, preferring the compact wire format and
-// falling back to JSON for peers that predate it.
+// fetchLoad polls one node's /load line.
 func (m *Master) fetchLoad(ctx context.Context, base string) (core.Load, error) {
 	var rep core.Load
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/load?fmt=c", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/load", nil)
 	if err != nil {
 		return rep, err
 	}
@@ -752,11 +741,7 @@ func (m *Master) fetchLoad(ctx context.Context, base string) (core.Load, error) 
 	if err != nil {
 		return rep, err
 	}
-	if core.IsLoadWire(b) {
-		return core.ParseLoadWire(b)
-	}
-	err = json.Unmarshal(b, &rep)
-	return rep, err
+	return core.ParseLoadWire(b)
 }
 
 // readAllInto is io.ReadAll into a caller-provided buffer.
@@ -830,7 +815,6 @@ func (m *Master) handleRequest(rw http.ResponseWriter, req *http.Request) {
 	status, retryAfter := m.serveReq(p, start, m.reqDeadline(start, req))
 	switch status {
 	case 0:
-		m.attachLoadHeader(rw.Header())
 		writeBody(rw, p.size)
 	case http.StatusServiceUnavailable:
 		rw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
@@ -980,7 +964,7 @@ var (
 	errDeadline    = errors.New("dispatch: request deadline exceeded")
 )
 
-// remoteStatusError is a non-200 /exec response: the node answered and
+// remoteStatusError is a non-200 exec status: the node answered and
 // refused, so the work did not run — always safe to retry.
 type remoteStatusError int
 
@@ -991,8 +975,9 @@ func (e remoteStatusError) Error() string {
 // mayHaveExecuted reports whether a failed dispatch could have run the
 // work remotely anyway — the conservative classification behind the
 // "never retry non-idempotent work that may have started" rule. Only
-// failures provably raised before the request reached the node (open
-// circuit, refused with a status, dial failure) are known-safe.
+// failures provably raised before the exec frame was written (open
+// circuit, failed connection upgrade) or refused with a status are
+// known-safe.
 func mayHaveExecuted(err error) bool {
 	if errors.Is(err, errCircuitOpen) {
 		return false
@@ -1001,16 +986,13 @@ func mayHaveExecuted(err error) bool {
 	if errors.As(err, &st) {
 		return false
 	}
-	var op *net.OpError
-	if errors.As(err, &op) && op.Op == "dial" {
-		return false
-	}
-	return true
+	var up *upgradeError
+	return !errors.As(err, &up)
 }
 
 // runDynamic places and executes one dynamic request under its deadline
 // and retry budget, failing over across distinct nodes (and ultimately
-// to local execution) when a remote /exec errs — the restart-on-another-
+// to local execution) when a remote exec errs — the restart-on-another-
 // node behavior the paper requires of masters when a slave fails, now
 // bounded instead of unconditional. Returns 0 on success or the HTTP
 // status for a terminal failure.
@@ -1148,65 +1130,6 @@ func (m *Master) forwardBreakered(target int, p reqParams, deadline time.Time) e
 	return err
 }
 
-// forward executes the CGI remotely — over the persistent binary frame
-// transport when enabled and the pair negotiated it, else via the
-// target's /exec endpoint (the paper's low-overhead remote execution
-// path), propagating the request deadline as both a context (cancels
-// the round trip) and a header (lets the slave refuse expired work
-// before queueing it).
-func (m *Master) forward(target int, p reqParams, deadline time.Time) error {
-	if m.frames != nil {
-		if err, handled := m.forwardFrame(target, p, deadline); handled {
-			return err
-		}
-	}
-	base := m.nodeURL(target)
-	if base == "" {
-		return fmt.Errorf("no URL for node %d", target)
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], base...)
-	b = append(b, "/exec?demand="...)
-	b = strconv.AppendFloat(b, p.demand, 'g', -1, 64)
-	b = append(b, "&w="...)
-	b = strconv.AppendFloat(b, p.w, 'g', -1, 64)
-	b = append(b, "&fork=1"...)
-	url := string(b)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(deadline.UnixNano(), 10))
-	resp, err := m.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return errDeadline
-		}
-		return err
-	}
-	// Drain the (bounded) body before closing: a response closed with
-	// unread bytes discards its keep-alive connection, forcing a fresh
-	// TCP+handshake on the next dispatch to the same node.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)) //nolint:errcheck
-	resp.Body.Close()
-	m.storePiggyHeader(target, resp.Header)
-	m.storeShardHeader(resp.Header)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusGatewayTimeout:
-		// The slave saw the propagated deadline expire; ours has too.
-		return errDeadline
-	default:
-		return remoteStatusError(resp.StatusCode)
-	}
-}
-
 // Shutdown stops the master's loops and server, then releases any
 // pooled frame connections (after the server stops, nothing can dial
 // new ones).
@@ -1217,8 +1140,6 @@ func (m *Master) Shutdown() {
 		close(m.stop)
 		m.wg.Wait()
 		m.Node.Shutdown()
-		if m.frames != nil {
-			m.frames.close()
-		}
+		m.frames.close()
 	})
 }

@@ -20,10 +20,9 @@ import (
 // own shard, so per-tick control work is O(shard), not O(cluster).
 // Cross-shard state travels as compact core.ShardSummary lines:
 //
-//   - piggybacked on every response a sharded master serves (/req,
-//     /exec, frame replies) as the X-Msweb-Shard header / frame summary
-//     block, so masters that already talk learn about each other's
-//     shards for free;
+//   - piggybacked on every frame response a sharded master serves as
+//     the trailing summary block, so masters that already talk learn
+//     about each other's shards for free;
 //   - pulled master↔master from /shard on a slow gossip tick, covering
 //     pairs that never exchange requests.
 //
@@ -34,21 +33,15 @@ import (
 // pick a concrete node, dispatched over the existing transport with the
 // existing breaker/retry taxonomy.
 
-// ShardHeader carries a sharded master's compact own-shard summary on
-// its responses (an s1 line, newline stripped).
-const ShardHeader = "X-Msweb-Shard"
-
 // shardTopK is how many least-loaded node digests the own-shard summary
 // carries — enough spill candidates for routing to rank, small enough
-// that the header stays around 200 bytes.
+// that the summary stays around 200 bytes.
 const shardTopK = 8
 
 // shardStamp is one immutable generation of a master's own-shard
-// summary: the wire line (served by /shard and embedded in frame
-// replies) and the prebuilt header value.
+// summary: the wire line served by /shard and embedded in frame replies.
 type shardStamp struct {
 	wire []byte
-	hdr  []string
 }
 
 // shardSumSlot is a master's mailbox for one remote shard's summary.
@@ -80,10 +73,7 @@ func (m *Master) rebuildShardStamp(ms *memState, snap *loadSnapshot) {
 	core.BuildShardSummary(&m.ownSum, ms.shard, snap.at, members, snap.view.Load, shardTopK)
 	m.ownSum.Epoch = ms.sm.Epoch()
 	wire := m.ownSum.AppendWire(make([]byte, 0, 80+48*len(m.ownSum.Top)))
-	m.shardWire.Store(&shardStamp{
-		wire: wire,
-		hdr:  []string{string(wire[: len(wire)-1 : len(wire)-1])}, // header values cannot carry the trailing \n
-	})
+	m.shardWire.Store(&shardStamp{wire: wire})
 }
 
 // handleShard serves the master's own-shard summary — the gossip pull
@@ -97,29 +87,6 @@ func (m *Master) handleShard(rw http.ResponseWriter, _ *http.Request) {
 	}
 	rw.Header().Set("Content-Type", core.ShardWireContentType)
 	rw.Write(s.wire) //nolint:errcheck
-}
-
-// storeShardHeader folds a response's piggybacked shard summary, if
-// any, into the mailbox for that shard. Cheap no-op for unsharded
-// masters and header-less responses.
-func (m *Master) storeShardHeader(h http.Header) {
-	if !m.sharded {
-		return
-	}
-	v := h[ShardHeader]
-	if len(v) == 0 {
-		return
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], v[0]...)
-	var sum core.ShardSummary
-	err := core.ParseShardSummary(b, &sum)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-	if err != nil {
-		return
-	}
-	m.storeShardSummary(&sum)
 }
 
 // storeShardSummaryWire parses an s1 summary line (e.g. a frame reply's

@@ -3,7 +3,6 @@ package httpcluster
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,7 +127,7 @@ func freshRemoteSummary(m *Master) {
 // produces — 503 shed, never a hang or a stray 5xx class — including
 // when the request arrives over the binary frame transport.
 func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
+	bad := frameKiller()
 	defer bad.Close()
 	// Own shard's slave 2 and remote shard's slave 3 both refuse.
 	m := launchShardedTestMaster(t, Resilience{}, bad.URL, bad.URL)
@@ -202,7 +201,7 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 // indistinguishable from the unsharded one: straight 503, no spill
 // attempt, nothing counted against placement quality.
 func TestSpillSkippedWithoutFreshSummary(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
+	bad := frameKiller()
 	defer bad.Close()
 	m := launchShardedTestMaster(t, Resilience{}, bad.URL, bad.URL)
 	m.brk.open(&m.brk.slots[2], time.Now().UnixNano())
